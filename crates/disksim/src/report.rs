@@ -63,8 +63,10 @@ impl DiskReport {
             + self.spin_up_energy
     }
 
-    /// Total accounted time (should equal the simulated horizon once the
-    /// simulation is finished).
+    /// Total accounted time. Once the simulation is finished this is at
+    /// least the simulated horizon, and it can run past it: a spin-down
+    /// or spin-up still in flight at `finish` is accounted in full, so
+    /// its completion may land after the horizon.
     #[must_use]
     pub fn total_time(&self) -> SimDuration {
         self.service_time

@@ -1,5 +1,6 @@
 //! `repro trace` — export the generator workloads to binary `.pct`
-//! trace files and inspect existing files.
+//! trace files and inspect existing files. `.pct` is the workspace's
+//! only trace serialization.
 //!
 //! Exporting materializes a [`Workload`] stream — the same streams the
 //! load generator and the batch simulator consume — into the
@@ -30,8 +31,8 @@ pub fn export(workload: &Workload, seed: u64, path: &Path) -> io::Result<u64> {
 }
 
 /// Reads a `.pct` file and renders a one-paragraph description: header
-/// geometry plus the workload-shape statistics the `tracegen stats`
-/// command reports for text traces.
+/// geometry plus the workload-shape statistics (request count, write
+/// share, mean inter-arrival gap, cold-miss share, unique blocks).
 ///
 /// # Errors
 ///

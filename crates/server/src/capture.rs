@@ -98,7 +98,7 @@ impl Capture {
     pub fn start(path: &Path, disk_count: u32, capacity: usize) -> io::Result<Capture> {
         let file = TraceFileWriter::create(path, disk_count)?;
         let (tx, rx) = sync_channel(capacity.max(1));
-        let writer = std::thread::spawn(move || writer_main(file, &rx));
+        let writer = std::thread::spawn(move || drain_ring_to_file(file, &rx));
         Ok(Capture {
             ring: Arc::new(CaptureRing {
                 tx,
@@ -142,7 +142,7 @@ impl Capture {
 
 /// The writer thread: drain the ring into the file until every sender is
 /// gone, then finalize the header.
-fn writer_main(mut file: TraceFileWriter, rx: &Receiver<Record>) -> io::Result<u64> {
+fn drain_ring_to_file(mut file: TraceFileWriter, rx: &Receiver<Record>) -> io::Result<u64> {
     while let Ok(record) = rx.recv() {
         file.push(record)?;
     }

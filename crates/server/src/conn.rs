@@ -199,7 +199,7 @@ impl Conn {
     }
 }
 
-#[cfg(all(test, target_os = "linux"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::poller::set_send_buffer;

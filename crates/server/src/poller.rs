@@ -24,16 +24,14 @@
 //! connection's write queue is non-empty, so idle connections cost one
 //! registration and no wakeups.
 //!
-//! On non-Linux hosts the module compiles to a stub whose constructor
-//! returns [`std::io::ErrorKind::Unsupported`]; `server.rs` detects
-//! that at runtime and falls back to the legacy thread-per-connection
-//! path, keeping the crate portable without a `cfg` spread.
-
-#[cfg(target_os = "linux")]
-pub use imp::{set_send_buffer, Poller, Waker};
+//! epoll and eventfd are Linux interfaces, so the server — and with it
+//! every crate that depends on it — builds on Linux only; other targets
+//! stop at a `compile_error!` here instead of failing at run time.
 
 #[cfg(not(target_os = "linux"))]
-pub use fallback::{set_send_buffer, Poller, Waker};
+compile_error!("pc-server needs epoll(7) and eventfd(2): build it on Linux");
+
+pub use imp::{set_send_buffer, Poller, Waker};
 
 /// Readiness edges a registration subscribes to.
 ///
@@ -63,7 +61,6 @@ pub struct Event {
     pub error: bool,
 }
 
-#[cfg(target_os = "linux")]
 mod imp {
     use super::{Event, Interest};
     use std::io;
@@ -293,81 +290,7 @@ mod imp {
     }
 }
 
-#[cfg(not(target_os = "linux"))]
-mod fallback {
-    use super::{Event, Interest};
-    use std::io;
-    use std::os::fd::RawFd;
-
-    fn unsupported() -> io::Error {
-        io::Error::new(
-            io::ErrorKind::Unsupported,
-            "epoll is Linux-only; use the legacy thread-per-connection path",
-        )
-    }
-
-    /// Stub poller for non-Linux hosts: construction fails with
-    /// [`io::ErrorKind::Unsupported`] and the server falls back to the
-    /// legacy blocking path.
-    #[derive(Debug)]
-    pub struct Poller {}
-
-    impl Poller {
-        /// Always fails on this platform.
-        pub fn new() -> io::Result<Poller> {
-            Err(unsupported())
-        }
-
-        /// Unreachable (no instance can exist).
-        pub fn register(&self, _fd: RawFd, _token: u64, _interest: Interest) -> io::Result<()> {
-            Err(unsupported())
-        }
-
-        /// Unreachable (no instance can exist).
-        pub fn modify(&self, _fd: RawFd, _token: u64, _interest: Interest) -> io::Result<()> {
-            Err(unsupported())
-        }
-
-        /// Unreachable (no instance can exist).
-        pub fn deregister(&self, _fd: RawFd) -> io::Result<()> {
-            Err(unsupported())
-        }
-
-        /// Unreachable (no instance can exist).
-        pub fn wait(&self, _out: &mut Vec<Event>, _timeout_ms: Option<u32>) -> io::Result<usize> {
-            Err(unsupported())
-        }
-    }
-
-    /// Stub waker for non-Linux hosts.
-    #[derive(Debug)]
-    pub struct Waker {}
-
-    impl Waker {
-        /// Always fails on this platform.
-        pub fn new() -> io::Result<Waker> {
-            Err(unsupported())
-        }
-
-        /// Unreachable (no instance can exist).
-        pub fn fd(&self) -> RawFd {
-            -1
-        }
-
-        /// Unreachable (no instance can exist).
-        pub fn wake(&self) {}
-
-        /// Unreachable (no instance can exist).
-        pub fn drain(&self) {}
-    }
-
-    /// No-op on this platform (partial-write tests are Linux-only).
-    pub fn set_send_buffer(_fd: RawFd, _bytes: usize) -> io::Result<()> {
-        Err(unsupported())
-    }
-}
-
-#[cfg(all(test, target_os = "linux"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};

@@ -192,13 +192,19 @@ impl<T> QueueReceiver<T> {
     /// Blocks for the next message; `None` once every sender is gone
     /// and the queue has drained.
     pub fn pop(&self) -> Option<T> {
+        self.pop_with_depth().map(|(item, _)| item)
+    }
+
+    /// [`pop`](Self::pop), also returning the depth just before this
+    /// message left the queue. The depth is read under the queue lock,
+    /// where every reservation also happens, so no sender can refill
+    /// the freed capacity between the pop and the reading.
+    fn pop_with_depth(&self) -> Option<(T, usize)> {
         let mut q = self.inner.queue.lock().expect("queue poisoned");
         loop {
             if let Some((item, weight)) = q.pop_front() {
-                if weight > 0 {
-                    self.inner.depth.fetch_sub(weight, Ordering::Relaxed);
-                }
-                return Some(item);
+                let depth = self.inner.depth.fetch_sub(weight, Ordering::Relaxed);
+                return Some((item, depth));
             }
             if self.inner.senders.load(Ordering::Acquire) == 0 {
                 return None;
@@ -302,8 +308,8 @@ mod tests {
         drop(tx);
         let mut popped = 0usize;
         let mut max_depth = 0usize;
-        while let Some(g) = rx.pop() {
-            max_depth = max_depth.max(rx.depth() + g);
+        while let Some((g, depth)) = rx.pop_with_depth() {
+            max_depth = max_depth.max(depth);
             popped += g;
         }
         let granted: usize = joins.into_iter().map(|j| j.join().unwrap()).sum();

@@ -9,35 +9,30 @@
 //!                    └───────────── reply hub (token, bytes) ◀──────────┘
 //! ```
 //!
-//! The default front-end is an **event loop**: a handful of IO threads,
-//! each multiplexing thousands of nonblocking connections through one
+//! The front-end is an **event loop**: a handful of IO threads, each
+//! multiplexing thousands of nonblocking connections through one
 //! [`Poller`] (a first-party epoll wrapper — see [`crate::poller`]).
 //! Per readable wakeup a connection's buffered bytes are drained,
 //! *every* complete frame is decoded, and the decoded requests are
 //! submitted to shards as per-shard batches through the bounded
 //! [`queue`] admission path — one `try_reserve` covering each batch, so
-//! the exactly-once IO-or-BUSY invariant from the blocking front-end
-//! carries over unchanged. Shard replies route back to the owning IO
-//! thread over a reply hub (an mpsc channel plus an eventfd [`Waker`]),
-//! are queued on the connection's scatter-gather write buffer, and any
-//! partial write arms `EPOLLOUT` for the rest. An idle connection
-//! costs one slab slot, one 4 KiB read window and a deadline-heap entry
-//! — not a thread stack — and a lazy-deletion deadline heap sweeps
-//! silent peers after the idle timeout.
+//! every accepted request is answered exactly once, by its shard's IO
+//! reply or by a `BUSY` frame. Shard replies route back to the owning
+//! IO thread over a reply hub (an mpsc channel plus an eventfd
+//! [`Waker`]), are queued on the connection's scatter-gather write
+//! buffer, and any partial write arms `EPOLLOUT` for the rest. An idle
+//! connection costs one slab slot, one 4 KiB read window and a
+//! deadline-heap entry — not a thread stack — and a lazy-deletion
+//! deadline heap sweeps silent peers after the idle timeout.
 //!
-//! The pre-event-loop **legacy** front-end (reader + writer thread per
-//! connection, blocking reads) is retained behind
-//! [`EngineConfig::legacy_threads`] for differential testing, and is
-//! the automatic fallback on hosts without epoll.
-//!
-//! Admission is **bounded** on both paths: each shard consumes work
-//! through a [`queue`] holding at most [`EngineConfig::queue_bound`]
-//! requests. A batch that does not fit answers the overflow with
-//! `BUSY` frames (carrying the shard's queue depth) instead of
-//! buffering, so overload pushes back on clients rather than silently
-//! reshaping the request stream a shard sees — the stream's shape is
-//! what decides the exploitable idle periods, so it must not be
-//! laundered through an elastic queue.
+//! Admission is **bounded**: each shard consumes work through a
+//! [`queue`] holding at most [`EngineConfig::queue_bound`] requests. A
+//! batch that does not fit answers the overflow with `BUSY` frames
+//! (carrying the shard's queue depth) instead of buffering, so overload
+//! pushes back on clients rather than silently reshaping the request
+//! stream a shard sees — the stream's shape is what decides the
+//! exploitable idle periods, so it must not be laundered through an
+//! elastic queue.
 //!
 //! Shutdown (SIGTERM bridge or the `SHUTDOWN` opcode) sets one atomic
 //! flag: the accept loop stops, IO threads deliver outstanding shard
@@ -46,7 +41,6 @@
 //! [`ShardSnapshot`] for the closing report.
 
 use std::collections::BinaryHeap;
-use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -58,7 +52,7 @@ use pc_units::SimTime;
 use crate::capture::{Capture, CaptureReport, CaptureRing, DEFAULT_CAPTURE_QUEUE};
 use crate::conn::{Conn, FillOutcome};
 use crate::poller::{Event, Interest, Poller, Waker};
-use crate::protocol::{self, FrameBuf, Request, Response};
+use crate::protocol::{self, Request, Response};
 use crate::queue::{self, QueueReceiver, QueueSender, TryPushError};
 use crate::shard::{shard_of, EngineConfig, ShardEngine};
 use crate::stats::{CaptureSnapshot, ClusterSnapshot, IoThreadSnapshot, ShardSnapshot};
@@ -68,8 +62,8 @@ use pc_units::{BlockNo, DiskId};
 /// many requests, even if more input is buffered.
 const BATCH_LIMIT: usize = 1024;
 
-/// How often blocked legacy readers / the accept loop re-check the stop
-/// flag; also the event loop's maximum poll timeout for the same check.
+/// How often the accept loop re-checks the stop flag; also the event
+/// loop's maximum poll timeout for the same check.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// Default per-connection idle timeout: a peer that sends no bytes for
@@ -113,31 +107,20 @@ fn valid_data_request(write: bool, blocks: u16, payload: &[u8], block_bytes: usi
     }
 }
 
-/// Where a shard sends a batch's encoded responses.
-enum ReplySink {
-    /// Legacy path: the connection's dedicated writer thread.
-    Thread(Sender<WriterMsg>),
-    /// Event path: the owning IO thread's reply hub, tagged with the
-    /// connection's slab token; the waker interrupts its poll.
-    Event {
-        hub: Sender<(u64, Vec<u8>)>,
-        token: u64,
-        waker: Arc<Waker>,
-    },
+/// Where a shard sends a batch's encoded responses: the owning IO
+/// thread's reply hub, tagged with the connection's slab token; the
+/// waker interrupts its poll.
+struct ReplySink {
+    hub: Sender<(u64, Vec<u8>)>,
+    token: u64,
+    waker: Arc<Waker>,
 }
 
 impl ReplySink {
     fn send(&self, bytes: Vec<u8>) {
-        match self {
-            // The receiving side may already be gone mid-shutdown.
-            ReplySink::Thread(tx) => {
-                let _ = tx.send(WriterMsg::Bytes(bytes));
-            }
-            ReplySink::Event { hub, token, waker } => {
-                if hub.send((*token, bytes)).is_ok() {
-                    waker.wake();
-                }
-            }
+        // The receiving side may already be gone mid-shutdown.
+        if self.hub.send((self.token, bytes)).is_ok() {
+            self.waker.wake();
         }
     }
 }
@@ -149,12 +132,6 @@ enum ShardMsg {
     Io { reply: ReplySink, batch: Vec<IoReq> },
     /// A snapshot request; the live snapshot goes back through `reply`.
     Stats { reply: Sender<ShardSnapshot> },
-}
-
-/// Bytes for a legacy connection's writer thread.
-enum WriterMsg {
-    Bytes(Vec<u8>),
-    Close,
 }
 
 /// One IO thread's live gauges, shared as atomics so a STATS request on
@@ -201,8 +178,8 @@ pub struct Server {
 /// What a completed run hands back for the closing report.
 #[derive(Debug)]
 pub struct RunSummary {
-    /// Final cluster snapshot with closed energy books (includes the
-    /// per-IO-thread gauges when the event-loop front-end served).
+    /// Final cluster snapshot with closed energy books and the
+    /// per-IO-thread gauges.
     pub snapshot: ClusterSnapshot,
     /// Connections accepted over the server's lifetime.
     pub connections: u64,
@@ -262,72 +239,19 @@ impl Server {
     }
 
     /// Serves until the stop flag is set, then drains and returns the
-    /// final snapshot. Uses the event-loop front-end unless
-    /// [`EngineConfig::legacy_threads`] is set or the host has no epoll
-    /// (non-Linux), in which case the legacy blocking path serves.
+    /// final snapshot: accept here, serve on N event-loop IO threads.
     ///
     /// # Errors
     ///
-    /// Propagates fatal listener errors; per-connection errors just
-    /// close that connection.
+    /// Propagates fatal listener errors and failures to create the IO
+    /// threads' pollers; per-connection errors just close that
+    /// connection.
     ///
     /// # Panics
     ///
     /// Panics if a shard or IO thread panicked (the engine is poisoned
     /// beyond reporting).
     pub fn run(self) -> std::io::Result<RunSummary> {
-        if self.engine.legacy_threads {
-            return self.run_legacy();
-        }
-        match Poller::new() {
-            Ok(_probe) => self.run_event(),
-            Err(e) if e.kind() == std::io::ErrorKind::Unsupported => self.run_legacy(),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Starts the live trace capture when configured; `None` otherwise.
-    fn start_capture(&self) -> std::io::Result<Option<Capture>> {
-        match &self.capture {
-            Some(path) => Ok(Some(Capture::start(
-                path,
-                self.engine.disks,
-                DEFAULT_CAPTURE_QUEUE,
-            )?)),
-            None => Ok(None),
-        }
-    }
-
-    /// Builds the shard threads; shared by both front-ends. Each shard
-    /// holds its own handle to the capture ring (when capturing) so the
-    /// writer thread's channel disconnects exactly when the last shard
-    /// joins.
-    fn spawn_shards(
-        &self,
-        busy_gauges: &Arc<Vec<AtomicU64>>,
-        capture: Option<&Arc<CaptureRing>>,
-    ) -> (
-        Vec<QueueSender<ShardMsg>>,
-        Vec<std::thread::JoinHandle<ShardSnapshot>>,
-    ) {
-        let mut shard_txs = Vec::with_capacity(self.engine.shards);
-        let mut shard_joins = Vec::with_capacity(self.engine.shards);
-        for id in 0..self.engine.shards {
-            let engine = ShardEngine::new(id, &self.engine);
-            let (tx, rx) = queue::bounded(self.engine.queue_bound);
-            shard_txs.push(tx);
-            let gauges = Arc::clone(busy_gauges);
-            let delay_us = self.engine.slow_delay_micros(id);
-            let ring = capture.map(Arc::clone);
-            shard_joins.push(std::thread::spawn(move || {
-                shard_main(engine, &rx, &gauges[id], delay_us, ring.as_deref())
-            }));
-        }
-        (shard_txs, shard_joins)
-    }
-
-    /// The event-loop front-end: accept here, serve on N IO threads.
-    fn run_event(self) -> std::io::Result<RunSummary> {
         let policy = self.engine.policy.name();
         let write_policy = self.engine.sim.write_policy.name().to_owned();
         let epoch = Instant::now();
@@ -418,75 +342,43 @@ impl Server {
         })
     }
 
-    /// The legacy thread-per-connection front-end (and the fallback for
-    /// hosts without epoll).
-    fn run_legacy(self) -> std::io::Result<RunSummary> {
-        let policy = self.engine.policy.name();
-        let write_policy = self.engine.sim.write_policy.name().to_owned();
-        let epoch = Instant::now();
-
-        let busy_gauges: Arc<Vec<AtomicU64>> =
-            Arc::new((0..self.engine.shards).map(|_| AtomicU64::new(0)).collect());
-        let capture = self.start_capture()?;
-        let capture_ring = capture.as_ref().map(Capture::ring);
-        let (shard_txs, shard_joins) = self.spawn_shards(&busy_gauges, capture_ring.as_ref());
-        let shard_txs = Arc::new(shard_txs);
-
-        self.listener.set_nonblocking(true)?;
-        let mut connections = 0u64;
-        let mut conn_joins = Vec::new();
-        while !self.stop.load(Ordering::Relaxed) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    connections += 1;
-                    let txs = Arc::clone(&shard_txs);
-                    let stop = Arc::clone(&self.stop);
-                    let gauges = Arc::clone(&busy_gauges);
-                    let names = (policy.clone(), write_policy.clone());
-                    let idle_timeout = self.idle_timeout;
-                    let block_bytes = self.engine.block_bytes;
-                    let ring = capture_ring.as_ref().map(Arc::clone);
-                    conn_joins.push(std::thread::spawn(move || {
-                        // A dead connection is the client's problem, not
-                        // the daemon's.
-                        let _ = serve_conn(
-                            stream,
-                            &txs,
-                            &stop,
-                            epoch,
-                            &names,
-                            &gauges,
-                            idle_timeout,
-                            block_bytes,
-                            ring.as_deref(),
-                        );
-                    }));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL_INTERVAL);
-                }
-                Err(e) => return Err(e),
-            }
+    /// Starts the live trace capture when configured; `None` otherwise.
+    fn start_capture(&self) -> std::io::Result<Option<Capture>> {
+        match &self.capture {
+            Some(path) => Ok(Some(Capture::start(
+                path,
+                self.engine.disks,
+                DEFAULT_CAPTURE_QUEUE,
+            )?)),
+            None => Ok(None),
         }
+    }
 
-        // Drain: readers notice the flag within a poll interval and
-        // exit, dropping their shard senders; once ours go too, each
-        // shard's channel disconnects and it closes its books.
-        for j in conn_joins {
-            let _ = j.join();
+    /// Builds the shard threads. Each shard holds its own handle to the
+    /// capture ring (when capturing) so the writer thread's channel
+    /// disconnects exactly when the last shard joins.
+    fn spawn_shards(
+        &self,
+        busy_gauges: &Arc<Vec<AtomicU64>>,
+        capture: Option<&Arc<CaptureRing>>,
+    ) -> (
+        Vec<QueueSender<ShardMsg>>,
+        Vec<std::thread::JoinHandle<ShardSnapshot>>,
+    ) {
+        let mut shard_txs = Vec::with_capacity(self.engine.shards);
+        let mut shard_joins = Vec::with_capacity(self.engine.shards);
+        for id in 0..self.engine.shards {
+            let engine = ShardEngine::new(id, &self.engine);
+            let (tx, rx) = queue::bounded(self.engine.queue_bound);
+            shard_txs.push(tx);
+            let gauges = Arc::clone(busy_gauges);
+            let delay_us = self.engine.slow_delay_micros(id);
+            let ring = capture.map(Arc::clone);
+            shard_joins.push(std::thread::spawn(move || {
+                shard_main(engine, &rx, &gauges[id], delay_us, ring.as_deref())
+            }));
         }
-        drop(shard_txs);
-        let shards = shard_joins
-            .into_iter()
-            .map(|j| j.join().expect("shard thread panicked"))
-            .collect();
-        let (final_capture, report) = finish_capture(capture, capture_ring)?;
-        Ok(RunSummary {
-            snapshot: ClusterSnapshot::new(policy, write_policy, shards)
-                .with_capture(final_capture),
-            connections,
-            capture: report,
-        })
+        (shard_txs, shard_joins)
     }
 }
 
@@ -778,10 +670,10 @@ impl EventLoop {
             return;
         }
         if ev.readable && !self.read_and_serve(&mut entry) {
-            // Protocol error or dead socket: nothing to salvage, and —
-            // matching the legacy front-end — decoded-but-unsubmitted
-            // requests from the poisoned stream are dropped, not
-            // bounced.
+            // Protocol error or dead socket: nothing to salvage. Requests
+            // decoded from a poisoned stream but not yet submitted are
+            // dropped, not bounced — the connection closes without
+            // answering them and no shard ever sees them.
             for b in &mut self.batches {
                 b.clear();
             }
@@ -902,10 +794,11 @@ impl EventLoop {
                         &self.ctx.io_gauges,
                         self.ctx.capture.as_deref(),
                     );
+                    // Replies leave in request order: a STATS reply follows
+                    // the IO replies to every request sent before it.
                     // Shards answer Stats *after* the batches queued ahead
-                    // of it (FIFO), so every IO reply that must precede
-                    // this snapshot is already on the hub: deliver them
-                    // first to keep the legacy front-end's reply order.
+                    // of it (FIFO), so those IO replies are already on the
+                    // hub: deliver them before queueing the snapshot.
                     self.deliver_replies_for(entry);
                     let mut out = Vec::with_capacity(json.len() + 16);
                     protocol::encode_response(&Response::Stats { seq, json }, &mut out);
@@ -959,7 +852,7 @@ impl EventLoop {
                 let rejected = batch.split_off(granted);
                 tx.push_reserved(
                     ShardMsg::Io {
-                        reply: ReplySink::Event {
+                        reply: ReplySink {
                             hub: self.hub_tx.clone(),
                             token,
                             waker: Arc::clone(&self.ctx.waker),
@@ -1167,225 +1060,8 @@ fn shard_main(
     snap
 }
 
-/// A legacy connection's reader loop; spawns the paired writer thread.
-#[allow(clippy::too_many_arguments)]
-fn serve_conn(
-    stream: TcpStream,
-    shard_txs: &[QueueSender<ShardMsg>],
-    stop: &AtomicBool,
-    epoch: Instant,
-    names: &(String, String),
-    busy_gauges: &[AtomicU64],
-    idle_timeout: Duration,
-    block_bytes: usize,
-    capture: Option<&CaptureRing>,
-) -> std::io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(POLL_INTERVAL))?;
-    let write_half = stream.try_clone()?;
-    let (writer_tx, writer_rx) = channel();
-    let writer = std::thread::spawn(move || writer_main(write_half, &writer_rx));
-
-    let result = read_loop(
-        stream,
-        shard_txs,
-        stop,
-        epoch,
-        names,
-        &writer_tx,
-        busy_gauges,
-        idle_timeout,
-        block_bytes,
-        capture,
-    );
-    let _ = writer_tx.send(WriterMsg::Close);
-    drop(writer_tx);
-    let _ = writer.join();
-    result
-}
-
-#[allow(clippy::too_many_arguments)]
-fn read_loop(
-    mut stream: TcpStream,
-    shard_txs: &[QueueSender<ShardMsg>],
-    stop: &AtomicBool,
-    epoch: Instant,
-    names: &(String, String),
-    writer_tx: &Sender<WriterMsg>,
-    busy_gauges: &[AtomicU64],
-    idle_timeout: Duration,
-    block_bytes: usize,
-    capture: Option<&CaptureRing>,
-) -> std::io::Result<()> {
-    let nshards = shard_txs.len();
-    let mut fb = FrameBuf::new().with_max_frame(protocol::max_request_frame(block_bytes));
-    let mut batches: Vec<Vec<IoReq>> = (0..nshards).map(|_| Vec::new()).collect();
-    let mut last_data = Instant::now();
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        match fb.read_from(&mut stream) {
-            Ok(0) => return Ok(()), // EOF: client is done.
-            Ok(_) => last_data = Instant::now(),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if last_data.elapsed() >= idle_timeout {
-                    // A silent peer must not pin this thread forever.
-                    return Ok(());
-                }
-                continue;
-            }
-            Err(e) => return Err(e),
-        }
-        // Every request in this chunk carries the same arrival stamp —
-        // one clock read per socket read, not per request.
-        let at_us = epoch.elapsed().as_micros() as u64;
-        loop {
-            match fb.next_request() {
-                Ok(Some(Request::Io {
-                    seq,
-                    write,
-                    disk,
-                    block,
-                    blocks,
-                })) => {
-                    let s = shard_of(DiskId::new(disk), BlockNo::new(block), nshards);
-                    batches[s].push(IoReq {
-                        seq,
-                        at_us,
-                        disk,
-                        block,
-                        blocks: u64::from(blocks),
-                        write,
-                        payload: None,
-                    });
-                    if batches[s].len() >= BATCH_LIMIT {
-                        flush(&mut batches[s], &shard_txs[s], writer_tx, &busy_gauges[s]);
-                    }
-                }
-                Ok(Some(Request::IoData {
-                    seq,
-                    write,
-                    disk,
-                    block,
-                    blocks,
-                    payload,
-                })) => {
-                    if !valid_data_request(write, blocks, &payload, block_bytes) {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            "data request violates the block-size contract",
-                        ));
-                    }
-                    let s = shard_of(DiskId::new(disk), BlockNo::new(block), nshards);
-                    batches[s].push(IoReq {
-                        seq,
-                        at_us,
-                        disk,
-                        block,
-                        blocks: u64::from(blocks),
-                        write,
-                        payload: Some(payload),
-                    });
-                    if batches[s].len() >= BATCH_LIMIT {
-                        flush(&mut batches[s], &shard_txs[s], writer_tx, &busy_gauges[s]);
-                    }
-                }
-                Ok(Some(Request::Stats { seq })) => {
-                    flush_all(&mut batches, shard_txs, writer_tx, busy_gauges);
-                    let json = collect_stats(shard_txs, names, &[], capture);
-                    let mut out = Vec::with_capacity(json.len() + 16);
-                    protocol::encode_response(&Response::Stats { seq, json }, &mut out);
-                    let _ = writer_tx.send(WriterMsg::Bytes(out));
-                }
-                Ok(Some(Request::Shutdown { seq })) => {
-                    flush_all(&mut batches, shard_txs, writer_tx, busy_gauges);
-                    let mut out = Vec::new();
-                    protocol::encode_response(&Response::Shutdown { seq }, &mut out);
-                    let _ = writer_tx.send(WriterMsg::Bytes(out));
-                    stop.store(true, Ordering::Relaxed);
-                    return Ok(());
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    // Unframeable stream: nothing to salvage.
-                    return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, e));
-                }
-            }
-        }
-        flush_all(&mut batches, shard_txs, writer_tx, busy_gauges);
-    }
-}
-
-/// Pushes a legacy connection's pending batch through the shard's
-/// bounded admission queue. Whatever does not fit is answered with
-/// `BUSY` frames carrying the queue depth — requests are never silently
-/// dropped and never buffered beyond the bound.
-fn flush(
-    batch: &mut Vec<IoReq>,
-    tx: &QueueSender<ShardMsg>,
-    writer_tx: &Sender<WriterMsg>,
-    busy_gauge: &AtomicU64,
-) {
-    if batch.is_empty() {
-        return;
-    }
-    match tx.try_reserve(batch.len()) {
-        Ok(granted) => {
-            let rejected = batch.split_off(granted);
-            tx.push_reserved(
-                ShardMsg::Io {
-                    reply: ReplySink::Thread(writer_tx.clone()),
-                    batch: std::mem::take(batch),
-                },
-                granted,
-            );
-            if !rejected.is_empty() {
-                bounce(&rejected, tx.depth(), writer_tx, busy_gauge);
-            }
-        }
-        Err(TryPushError::Full { depth }) => {
-            bounce(batch, depth, writer_tx, busy_gauge);
-            batch.clear();
-        }
-        Err(TryPushError::Closed) => {
-            // Mid-shutdown: the shard is gone, but every accepted
-            // request still gets exactly one answer.
-            bounce(batch, 0, writer_tx, busy_gauge);
-            batch.clear();
-        }
-    }
-}
-
-/// Answers `reqs` with `BUSY` frames reporting `depth` (legacy path).
-fn bounce(reqs: &[IoReq], depth: usize, writer_tx: &Sender<WriterMsg>, busy_gauge: &AtomicU64) {
-    let mut out = Vec::with_capacity(reqs.len() * 13);
-    let depth = u32::try_from(depth).unwrap_or(u32::MAX);
-    for r in reqs {
-        protocol::encode_response(&Response::Busy { seq: r.seq, depth }, &mut out);
-    }
-    busy_gauge.fetch_add(reqs.len() as u64, Ordering::Relaxed);
-    let _ = writer_tx.send(WriterMsg::Bytes(out));
-}
-
-fn flush_all(
-    batches: &mut [Vec<IoReq>],
-    shard_txs: &[QueueSender<ShardMsg>],
-    writer_tx: &Sender<WriterMsg>,
-    busy_gauges: &[AtomicU64],
-) {
-    for ((batch, tx), gauge) in batches.iter_mut().zip(shard_txs).zip(busy_gauges) {
-        flush(batch, tx, writer_tx, gauge);
-    }
-}
-
-/// Gathers a live snapshot from every shard and renders the JSON,
-/// attaching IO-thread gauges when the event-loop front-end is serving
-/// (`io_gauges` empty on the legacy path keeps the bytes identical to
-/// pre-event-loop output).
+/// Gathers a live snapshot from every shard and renders the JSON with
+/// the IO threads' gauges and, when capturing, the capture gauges.
 fn collect_stats(
     shard_txs: &[QueueSender<ShardMsg>],
     names: &(String, String),
@@ -1416,26 +1092,12 @@ fn collect_stats(
         .to_json()
 }
 
-fn writer_main(mut stream: TcpStream, rx: &Receiver<WriterMsg>) {
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            WriterMsg::Bytes(bytes) => {
-                if stream.write_all(&bytes).is_err() {
-                    return; // Peer went away; reader will notice too.
-                }
-            }
-            WriterMsg::Close => break,
-        }
-    }
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::{encode_request, FrameBuf, Request, Response};
     use crate::stats::parse_stats_json;
-    use std::io::Read;
+    use std::io::{Read, Write};
 
     fn read_response(stream: &mut TcpStream, fb: &mut FrameBuf) -> Response {
         loop {
@@ -1446,9 +1108,9 @@ mod tests {
         }
     }
 
-    fn io_stats_shutdown_roundtrip(engine: EngineConfig) {
-        let expect_io = !engine.legacy_threads && cfg!(target_os = "linux");
-        let server = Server::bind("127.0.0.1:0", engine).unwrap();
+    #[test]
+    fn serves_io_stats_and_shutdown_over_loopback() {
+        let server = Server::bind("127.0.0.1:0", EngineConfig::new(2, 4)).unwrap();
         let addr = server.local_addr().unwrap();
         let handle = std::thread::spawn(move || server.run().unwrap());
 
@@ -1490,14 +1152,10 @@ mod tests {
                 assert_eq!(summary.requests, 2);
                 assert_eq!(summary.hits, 1);
                 assert_eq!(summary.shard_energy_j.len(), 2);
-                if expect_io {
-                    assert_eq!(
-                        summary.io_connections, 1,
-                        "the event loop must report its one connection"
-                    );
-                } else {
-                    assert_eq!(summary.io_connections, 0);
-                }
+                assert_eq!(
+                    summary.io_connections, 1,
+                    "the event loop must report its one connection"
+                );
             }
             other => panic!("unexpected response {other:?}"),
         }
@@ -1516,16 +1174,6 @@ mod tests {
     }
 
     #[test]
-    fn serves_io_stats_and_shutdown_over_loopback() {
-        io_stats_shutdown_roundtrip(EngineConfig::new(2, 4));
-    }
-
-    #[test]
-    fn legacy_front_end_serves_the_same_protocol() {
-        io_stats_shutdown_roundtrip(EngineConfig::new(2, 4).with_legacy_threads(true));
-    }
-
-    #[test]
     fn stop_flag_drains_an_idle_server() {
         let server = Server::bind("127.0.0.1:0", EngineConfig::new(1, 1)).unwrap();
         let stop = server.stop_flag();
@@ -1536,8 +1184,9 @@ mod tests {
         assert_eq!(summary.connections, 0);
     }
 
-    fn idle_sweep_closes_silent_but_not_active(engine: EngineConfig) {
-        let server = Server::bind("127.0.0.1:0", engine)
+    #[test]
+    fn idle_connections_are_disconnected() {
+        let server = Server::bind("127.0.0.1:0", EngineConfig::new(1, 1))
             .unwrap()
             .with_idle_timeout(Duration::from_millis(150));
         let addr = server.local_addr().unwrap();
@@ -1608,16 +1257,6 @@ mod tests {
     }
 
     #[test]
-    fn idle_connections_are_disconnected() {
-        idle_sweep_closes_silent_but_not_active(EngineConfig::new(1, 1));
-    }
-
-    #[test]
-    fn idle_sweep_works_on_the_legacy_path_too() {
-        idle_sweep_closes_silent_but_not_active(EngineConfig::new(1, 1).with_legacy_threads(true));
-    }
-
-    #[test]
     fn garbage_input_kills_only_that_connection() {
         let server = Server::bind("127.0.0.1:0", EngineConfig::new(1, 1)).unwrap();
         let addr = server.local_addr().unwrap();
@@ -1642,6 +1281,63 @@ mod tests {
             read_response(&mut good, &mut fb),
             Response::Stats { seq: 9, .. }
         ));
+
+        stop.store(true, Ordering::Relaxed);
+        drop(good);
+        handle.join().unwrap();
+    }
+
+    /// A poisoned stream's decoded but unsubmitted requests are dropped,
+    /// not answered: a valid IO frame followed, in the same write, by an
+    /// unframeable prefix closes the connection with no reply, and no
+    /// shard ever ingests the IO request.
+    #[test]
+    fn poisoned_stream_drops_its_pending_requests() {
+        let server = Server::bind("127.0.0.1:0", EngineConfig::new(1, 1)).unwrap();
+        let addr = server.local_addr().unwrap();
+        let stop = server.stop_flag();
+        let handle = std::thread::spawn(move || server.run().unwrap());
+
+        let mut bad = TcpStream::connect(addr).unwrap();
+        let mut wire = Vec::new();
+        encode_request(
+            &Request::Io {
+                seq: 1,
+                write: false,
+                disk: 0,
+                block: 5,
+                blocks: 1,
+            },
+            &mut wire,
+        );
+        wire.extend_from_slice(&0u32.to_le_bytes());
+        bad.write_all(&wire).unwrap();
+        bad.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut got = Vec::new();
+        // A reset counts as closed too; only a read timeout means the
+        // server kept the connection open.
+        if let Err(e) = bad.read_to_end(&mut got) {
+            use std::io::ErrorKind::{TimedOut, WouldBlock};
+            assert!(
+                !matches!(e.kind(), WouldBlock | TimedOut),
+                "the poisoned connection was not closed"
+            );
+        }
+        assert!(got.is_empty(), "no reply may follow a poisoned stream");
+
+        let mut good = TcpStream::connect(addr).unwrap();
+        let mut fb = FrameBuf::new();
+        let mut wire = Vec::new();
+        encode_request(&Request::Stats { seq: 2 }, &mut wire);
+        good.write_all(&wire).unwrap();
+        match read_response(&mut good, &mut fb) {
+            Response::Stats { seq, json } => {
+                assert_eq!(seq, 2);
+                let summary = parse_stats_json(&json).expect("stats must parse");
+                assert_eq!(summary.requests, 0, "the dropped request reached a shard");
+            }
+            other => panic!("unexpected response {other:?}"),
+        }
 
         stop.store(true, Ordering::Relaxed);
         drop(good);

@@ -184,8 +184,8 @@ pub struct ClusterSnapshot {
     pub write_policy: String,
     /// Per-shard snapshots, indexed by shard.
     pub shards: Vec<ShardSnapshot>,
-    /// Per-IO-thread gauges; empty on the legacy and in-process paths,
-    /// where the JSON stays byte-identical to pre-event-loop servers.
+    /// Per-IO-thread gauges; empty for in-process snapshots, whose JSON
+    /// then carries no `io` section.
     pub io: Vec<IoThreadSnapshot>,
     /// Capture-ring gauges; `None` unless the server runs `--capture`,
     /// keeping capture-less JSON byte-identical to older servers.
@@ -332,9 +332,8 @@ impl ClusterSnapshot {
             out.push_str(&s.to_json());
         }
         out.push(']');
-        // Emitted only when the event-loop front-end is live: legacy
-        // and in-process snapshots must stay byte-identical to
-        // pre-event-loop output.
+        // Emitted only by a serving front-end: in-process snapshots
+        // have no IO threads and carry no `io` section.
         if !self.io.is_empty() {
             out.push_str(",\"io\":[");
             for (i, t) in self.io.iter().enumerate() {
@@ -485,7 +484,7 @@ pub struct StatsSummary {
     /// Per-shard energy in joules, indexed by shard.
     pub shard_energy_j: Vec<f64>,
     /// Connections registered across IO threads (0 when the snapshot
-    /// carries no `io` section — legacy or in-process paths).
+    /// carries no `io` section, as for in-process snapshots).
     pub io_connections: u64,
     /// Buffer footprint across IO threads (0 without an `io` section).
     pub io_buffer_bytes: u64,

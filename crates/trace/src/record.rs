@@ -1,9 +1,8 @@
 //! Trace records and containers.
 
 use std::fmt;
-use std::io::{self, BufRead, Write};
 
-use pc_units::{BlockId, BlockNo, DiskId, SimDuration, SimTime};
+use pc_units::{BlockId, DiskId, SimDuration, SimTime};
 
 /// The direction of one I/O request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -252,85 +251,6 @@ impl Trace {
             records,
         }
     }
-
-    /// Writes the trace in a line-oriented text format:
-    /// `time_us disk block blocks R|W` per record.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from the writer.
-    pub fn to_writer<W: Write>(&self, mut writer: W) -> io::Result<()> {
-        writeln!(writer, "# powercache-trace v1 disks={}", self.disk_count)?;
-        for r in &self.records {
-            writeln!(
-                writer,
-                "{} {} {} {} {}",
-                r.time.as_micros(),
-                r.block.disk().index(),
-                r.block.block().number(),
-                r.blocks,
-                r.op
-            )?;
-        }
-        Ok(())
-    }
-
-    /// Reads a trace written by [`Trace::to_writer`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`io::Error`] with kind `InvalidData` on malformed input,
-    /// or any underlying I/O error.
-    pub fn from_reader<R: BufRead>(reader: R) -> io::Result<Self> {
-        let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-        let mut lines = reader.lines();
-        let header = lines
-            .next()
-            .ok_or_else(|| bad("empty trace file".into()))??;
-        let disks: u32 = header
-            .strip_prefix("# powercache-trace v1 disks=")
-            .ok_or_else(|| bad(format!("bad header: {header}")))?
-            .trim()
-            .parse()
-            .map_err(|e| bad(format!("bad disk count: {e}")))?;
-        let mut trace = Trace::new(disks);
-        for line in lines {
-            let line = line?;
-            if line.trim().is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let mut field = || {
-                parts
-                    .next()
-                    .ok_or_else(|| bad(format!("short record line: {line}")))
-            };
-            let time: u64 = field()?
-                .parse()
-                .map_err(|e| bad(format!("bad time: {e}")))?;
-            let disk: u32 = field()?
-                .parse()
-                .map_err(|e| bad(format!("bad disk: {e}")))?;
-            let block: u64 = field()?
-                .parse()
-                .map_err(|e| bad(format!("bad block: {e}")))?;
-            let blocks: u64 = field()?
-                .parse()
-                .map_err(|e| bad(format!("bad length: {e}")))?;
-            let op = match field()? {
-                "R" => IoOp::Read,
-                "W" => IoOp::Write,
-                other => return Err(bad(format!("bad op: {other}"))),
-            };
-            trace.push(Record {
-                time: SimTime::from_micros(time),
-                block: BlockId::new(DiskId::new(disk), BlockNo::new(block)),
-                blocks,
-                op,
-            });
-        }
-        Ok(trace)
-    }
 }
 
 impl<'a> IntoIterator for &'a Trace {
@@ -345,6 +265,7 @@ impl<'a> IntoIterator for &'a Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pc_units::BlockNo;
 
     fn rec(ms: u64, disk: u32, block: u64, op: IoOp) -> Record {
         Record::new(
@@ -375,26 +296,6 @@ mod tests {
     #[should_panic(expected = "disks")]
     fn from_records_rejects_bad_disk() {
         let _ = Trace::from_records(1, vec![rec(1, 3, 1, IoOp::Read)]);
-    }
-
-    #[test]
-    fn round_trip_text_format() {
-        let mut t = Trace::new(3);
-        t.push(rec(1, 0, 10, IoOp::Read));
-        t.push(rec(5, 2, 20, IoOp::Write));
-        let mut buf = Vec::new();
-        t.to_writer(&mut buf).unwrap();
-        let back = Trace::from_reader(buf.as_slice()).unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn from_reader_rejects_garbage() {
-        assert!(Trace::from_reader("nonsense\n".as_bytes()).is_err());
-        assert!(Trace::from_reader("# powercache-trace v1 disks=1\n1 0 0\n".as_bytes()).is_err());
-        assert!(
-            Trace::from_reader("# powercache-trace v1 disks=1\n1 0 0 1 X\n".as_bytes()).is_err()
-        );
     }
 
     #[test]

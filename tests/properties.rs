@@ -246,29 +246,49 @@ fn multiblock_requests_preserve_invariants() {
     }
 }
 
-/// Multi-block traces survive the text format round-trip too.
+/// Writes `trace` to a `.pct` file with [`pc_tracefile::write_trace`]
+/// and requires both readers — the streaming [`pc_tracefile::read_trace`]
+/// and the mapped [`pc_tracefile::MappedTrace`] record stream — to give
+/// it back exactly.
+fn assert_pct_round_trip(trace: &Trace, label: &str) {
+    let path = std::env::temp_dir().join(format!("pc-prop-{label}-{}.pct", std::process::id()));
+    let written = pc_tracefile::write_trace(&path, trace).expect("write .pct");
+    assert_eq!(written, trace.len() as u64, "{label}: record count");
+
+    let read = pc_tracefile::read_trace(&path).expect("read own .pct");
+    assert_eq!(&read, trace, "{label}: read_trace");
+
+    let mapped = pc_tracefile::MappedTrace::open(&path).expect("map own .pct");
+    assert_eq!(mapped.disk_count(), trace.disk_count(), "{label}: disks");
+    let records = mapped
+        .records()
+        .collect::<std::io::Result<Vec<Record>>>()
+        .expect("mapped records verify");
+    assert!(
+        records.iter().eq(trace.iter()),
+        "{label}: MappedTrace records"
+    );
+    drop(mapped);
+    std::fs::remove_file(&path).expect("remove temp .pct");
+}
+
+/// Multi-block traces survive the `.pct` round-trip too.
 #[test]
 fn multiblock_trace_serialization_round_trips() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
         let trace = gen_multiblock_trace(&mut rng, 60);
-        let mut buf = Vec::new();
-        trace.to_writer(&mut buf).expect("write to memory");
-        let back = Trace::from_reader(buf.as_slice()).expect("parse own output");
-        assert_eq!(back, trace, "seed {seed}");
+        assert_pct_round_trip(&trace, &format!("multiblock-{seed}"));
     }
 }
 
-/// The trace text format round-trips every trace exactly.
+/// The `.pct` format round-trips every trace exactly.
 #[test]
 fn trace_serialization_round_trips() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
         let trace = gen_trace(&mut rng, 150);
-        let mut buf = Vec::new();
-        trace.to_writer(&mut buf).expect("write to memory");
-        let back = Trace::from_reader(buf.as_slice()).expect("parse own output");
-        assert_eq!(back, trace, "seed {seed}");
+        assert_pct_round_trip(&trace, &format!("single-{seed}"));
     }
 }
 
